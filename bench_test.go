@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/baseline"
@@ -687,7 +688,10 @@ skip:
 	halt
 `
 
-func benchMulti8(b *testing.B, parallel bool) {
+// benchMulti8 runs the 8-node hot-path workload to completion per
+// iteration. workers sets Config.Workers (0: one per processor) for the
+// parallel scheduler.
+func benchMulti8(b *testing.B, parallel bool, workers int) {
 	b.Helper()
 	prog := mustAssemble(hotpathNode)
 	b.ReportAllocs()
@@ -698,6 +702,7 @@ func benchMulti8(b *testing.B, parallel bool) {
 		cfg := multi.DefaultConfig()
 		cfg.Node.PhysBytes = 1 << 20
 		cfg.Serial = !parallel
+		cfg.Workers = workers
 		s, err := multi.New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -739,6 +744,9 @@ func benchMulti8(b *testing.B, parallel bool) {
 }
 
 func BenchmarkMulti_Run8Nodes(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchMulti8(b, false) })
-	b.Run("parallel", func(b *testing.B) { benchMulti8(b, true) })
+	b.Run("serial", func(b *testing.B) { benchMulti8(b, false, 0) })
+	b.Run("parallel", func(b *testing.B) { benchMulti8(b, true, 0) })
+	for _, w := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { benchMulti8(b, true, w) })
+	}
 }

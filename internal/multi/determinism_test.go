@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/migrate"
 	"repro/internal/noc"
 	"repro/internal/word"
 )
@@ -38,16 +40,41 @@ func runCrossNodeWorkload(t *testing.T, serial bool, workers int) fingerprint {
 // (the introspection tests enable spans/flight from here).
 func runCrossNodeWorkloadWith(t *testing.T, serial bool, workers int, setup func(*System)) fingerprint {
 	t.Helper()
+	return crossNode{serial: serial, workers: workers, setup: setup}.run(t)
+}
+
+// crossNode parameterizes the cross-node determinism workload.
+type crossNode struct {
+	serial  bool
+	workers int
+	trips   int                  // base loop trip count; 0 means 4
+	config  func(*Config)        // adjusts the configuration before boot
+	setup   func(*System)        // configures the booted system before loading
+	drive   func(*System) uint64 // runs the loaded system; nil means Run(200000)
+	// hangs allows threads to end unfinished (a killed home loses
+	// their replies).
+	hangs bool
+}
+
+func (c crossNode) run(t *testing.T) fingerprint {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Node.PhysBytes = 1 << 20
-	cfg.Serial = serial
-	cfg.Workers = workers
+	cfg.Serial = c.serial
+	cfg.Workers = c.workers
+	if c.config != nil {
+		c.config(&cfg)
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if setup != nil {
-		setup(s)
+	if c.setup != nil {
+		c.setup(s)
+	}
+	trips := c.trips
+	if trips == 0 {
+		trips = 4
 	}
 	n := len(s.Nodes)
 	segs := make([]core.Pointer, n)
@@ -69,30 +96,35 @@ func runCrossNodeWorkloadWith(t *testing.T, serial bool, workers int, setup func
 		bnez r2, loop
 		halt
 	`)
-	var ths []*machine.Thread
 	for i, nd := range s.Nodes {
 		ip, err := nd.K.LoadProgram(prog, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, err := nd.K.Spawn(1, ip, map[int]word.Word{
-			1: segs[(i+1)%n].Word(),         // ring successor's segment
-			2: word.FromInt(int64(4 + i%3)), // staggered trip counts
-		})
-		if err != nil {
+		if _, err := nd.K.Spawn(1, ip, map[int]word.Word{
+			1: segs[(i+1)%n].Word(),             // ring successor's segment
+			2: word.FromInt(int64(trips + i%3)), // staggered trip counts
+		}); err != nil {
 			t.Fatal(err)
 		}
-		ths = append(ths, th)
 	}
-	fp := fingerprint{cycles: s.Run(200000), sys: s.Stats(), net: s.Net.Stats()}
-	for _, nd := range s.Nodes {
+	var cycles uint64
+	if c.drive != nil {
+		cycles = c.drive(s)
+	} else {
+		cycles = s.Run(200000)
+	}
+	fp := fingerprint{cycles: cycles, sys: s.Stats(), net: s.Net.Stats()}
+	// Threads are read from the nodes' current kernels: a migration
+	// swaps a node's kernel for its replica.
+	for i, nd := range s.Nodes {
 		fp.nodeStats = append(fp.nodeStats, nd.K.M.Stats())
-	}
-	for i, th := range ths {
-		if th.State != machine.Halted {
-			t.Fatalf("serial=%v: node %d thread %v fault=%v", serial, i, th.State, th.Fault)
+		for _, th := range nd.K.M.Threads() {
+			if th.State != machine.Halted && !c.hangs {
+				t.Fatalf("serial=%v: node %d thread %v fault=%v", c.serial, i, th.State, th.Fault)
+			}
+			fp.threads += fmt.Sprintf("%d: %v instret=%d regs=%v\n", i, th.State, th.Instret, th.Regs)
 		}
-		fp.threads += fmt.Sprintf("%d: %v instret=%d regs=%v\n", i, th.State, th.Instret, th.Regs)
 	}
 	for i, nd := range s.Nodes {
 		home := segs[i].Base()
@@ -148,4 +180,204 @@ func TestParallelRunMatchesSerialAcrossWorkerCounts(t *testing.T) {
 			t.Errorf("workers=%d diverges from serial", w)
 		}
 	}
+}
+
+// parallelWorkers are the worker counts every TestParallelRun case
+// checks against the serial scheduler: an even split, an uneven one,
+// and one node per worker (more workers than most hosts have
+// processors, so the gate parks).
+var parallelWorkers = []int{2, 3, 8}
+
+// matchSerial runs c under the serial scheduler and then under the
+// parallel one at each of parallelWorkers, and fails unless every run's
+// fingerprint and extra (a hook's record, read after the run) are
+// byte-identical to serial.
+func matchSerial(t *testing.T, c crossNode, extra func() string) {
+	t.Helper()
+	render := func(c crossNode) string {
+		fp := c.run(t)
+		out := fmt.Sprintf("%+v", fp)
+		if extra != nil {
+			out += "\n" + extra()
+		}
+		return out
+	}
+	c.serial = true
+	want := render(c)
+	for _, w := range parallelWorkers {
+		c.serial, c.workers = false, w
+		if got := render(c); got != want {
+			t.Errorf("workers=%d diverges from serial:\n got %s\nwant %s", w, got, want)
+		}
+	}
+}
+
+// TestParallelRunChunkedMatchesSerial: one budget spent as many short
+// Run calls, as the benchmark and migration pre-copy drive the system,
+// ends in the same state as serial stepping. Each call starts a fresh
+// gate, so a stale report or release number would show here.
+func TestParallelRunChunkedMatchesSerial(t *testing.T) {
+	for _, chunk := range []uint64{1, 7, 64} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			matchSerial(t, crossNode{trips: 6, drive: func(s *System) uint64 {
+				var c uint64
+				for c < 200000 && !s.Done() {
+					c += s.Run(chunk)
+				}
+				return c
+			}}, nil)
+		})
+	}
+}
+
+// TestParallelRunHooksMatchSerial: every hook that runs between cycles
+// — OnCycle, coordinated checkpoints, the watchdog and an armed
+// migration — sees and leaves the same state under both schedulers.
+func TestParallelRunHooksMatchSerial(t *testing.T) {
+	t.Run("OnCycle", func(t *testing.T) {
+		var rec []string
+		matchSerial(t, crossNode{trips: 6, setup: func(s *System) {
+			rec = nil
+			s.OnCycle = func(c uint64) {
+				if c%16 == 0 {
+					rec = append(rec, fmt.Sprintf("%d:%+v", c, s.Stats()))
+				}
+			}
+		}}, func() string { return fmt.Sprint(rec) })
+	})
+	t.Run("CheckpointEvery", func(t *testing.T) {
+		var sys *System
+		matchSerial(t, crossNode{trips: 6,
+			config: func(c *Config) { c.CheckpointEvery = 250 },
+			setup:  func(s *System) { sys = s },
+		}, func() string {
+			gens := fmt.Sprint(sys.Checkpoints())
+			for _, g := range sys.ckpts {
+				gens += fmt.Sprintf(" @%d", g.cycle)
+			}
+			return gens
+		})
+	})
+	t.Run("WatchdogCycles", func(t *testing.T) {
+		var sys *System
+		matchSerial(t, crossNode{trips: 6,
+			config: func(c *Config) { c.WatchdogCycles = 256 },
+			setup:  func(s *System) { sys = s },
+		}, func() string { return fmt.Sprint("hung=", sys.Hung()) })
+	})
+	t.Run("MigrateAt", func(t *testing.T) {
+		var sys *System
+		matchSerial(t, crossNode{trips: 40,
+			config: func(c *Config) {
+				c.MigrateAt = 60
+				c.MigrateNode = 5
+				c.Migrate = migrate.Config{Link: fastLink()}
+			},
+			setup: func(s *System) { sys = s },
+		}, func() string {
+			rep := sys.MigrateReport()
+			if rep == nil || !rep.Committed {
+				t.Fatalf("migration did not commit: %+v", rep)
+			}
+			return fmt.Sprintf("stepped=%d rounds=%d", rep.SteppedCycles, len(rep.Rounds))
+		})
+	})
+}
+
+// TestParallelRunStallKillMatchesSerial: a stall and a kill issued
+// between Run calls take effect at the same cycle under both
+// schedulers. The kill loses the replies of the killed node's ring
+// predecessor, so that thread never finishes and the last call spends
+// its whole budget.
+func TestParallelRunStallKillMatchesSerial(t *testing.T) {
+	matchSerial(t, crossNode{trips: 6, hangs: true, drive: func(s *System) uint64 {
+		c := s.Run(40)
+		if err := s.Stall(2, s.Cycle()+30); err != nil {
+			t.Fatal(err)
+		}
+		c += s.Run(50)
+		if err := s.Kill(5); err != nil {
+			t.Fatal(err)
+		}
+		return c + s.Run(2000)
+	}}, nil)
+}
+
+// TestParallelRunTracksDoneExactly: Run stops on the cycle the system
+// finishes, by the same count as stepping one cycle at a time and
+// asking Done — when threads are added between Run calls, when the
+// last thread ends inside the delivery phase (a remote access that
+// faults), and when an OnCycle hook adds a thread on the cycle the
+// system finishes.
+func TestParallelRunTracksDoneExactly(t *testing.T) {
+	far := mustMake(core.PermReadWrite, 12, uint64(50)<<NodeShift)
+	faulting := mustAssemble("ld r2, r1, 0\nhalt")
+	countdown := mustAssemble("ldi r3, 40\nloop: subi r3, r3, 1\nbnez r3, loop\nhalt")
+	spawn := func(s *System, node int, prog *asm.Program, regs map[int]word.Word) {
+		ip, err := s.Nodes[node].K.LoadProgram(prog, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Nodes[node].K.Spawn(1, ip, regs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// phases loads each phase's threads and runs the system to done
+	// with run, returning the cycles of each phase.
+	phases := func(workers int, run func(*System) uint64) []uint64 {
+		cfg := DefaultConfig()
+		cfg.Node.PhysBytes = 1 << 20
+		cfg.Serial = workers == 0
+		cfg.Workers = workers
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spawn(s, 3, countdown, nil)
+		out := []uint64{run(s)}
+		spawn(s, 0, faulting, map[int]word.Word{1: far.Word()})
+		out = append(out, run(s))
+		spawn(s, 3, countdown, nil)
+		respawned := false
+		s.OnCycle = func(uint64) {
+			if !respawned && s.Done() {
+				respawned = true
+				spawn(s, 6, countdown, nil)
+			}
+		}
+		return append(out, run(s))
+	}
+	want := fmt.Sprint(phases(0, func(s *System) uint64 {
+		var c uint64
+		for !s.Done() {
+			s.Step()
+			c++
+		}
+		return c
+	}))
+	for _, w := range append([]int{0}, parallelWorkers...) {
+		got := fmt.Sprint(phases(w, func(s *System) uint64 { return s.Run(100000) }))
+		if got != want {
+			t.Errorf("workers=%d: Run took %s cycles per phase, stepping to Done %s", w, got, want)
+		}
+	}
+}
+
+// TestSchedulerCyclesAllocFree: once warm, a lockstep cycle on the
+// parallel scheduler allocates nothing — a Run of 1000 cycles costs no
+// more allocations than a Run of 10 (only the per-Run goroutines and
+// gate).
+func TestSchedulerCyclesAllocFree(t *testing.T) {
+	crossNode{workers: 2, trips: 1 << 40, hangs: true, drive: func(s *System) uint64 {
+		s.Run(1000) // warm: page mappings, pending-queue capacity
+		short := testing.AllocsPerRun(20, func() { s.Run(10) })
+		long := testing.AllocsPerRun(20, func() { s.Run(1000) })
+		if long > short {
+			t.Fatalf("Run(1000) allocates %v times, Run(10) %v: cycles allocate", long, short)
+		}
+		if s.Done() || s.sched.Cycles == 0 {
+			t.Fatalf("parallel scheduler did not run: done=%v %+v", s.Done(), s.sched)
+		}
+		return 0
+	}}.run(t)
 }

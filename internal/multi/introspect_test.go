@@ -222,3 +222,29 @@ func TestFlightDumpDisabledIsNoop(t *testing.T) {
 		t.Fatalf("disabled FlightDump wrote %q", buf.String())
 	}
 }
+
+// TestSchedMetricsAccountEveryWait: the multi.sched.* counters publish
+// the parallel gate's cycles, and every wait ends in exactly one of
+// spin, yield or park. Per Run each helper waits once per cycle plus
+// once for the stop, and worker 0 waits once per helper per cycle.
+func TestSchedMetricsAccountEveryWait(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	var cycles uint64
+	for _, workers := range []int{3, 8} {
+		crossNode{workers: workers, setup: func(s *System) { s.RegisterMetrics(reg) },
+			drive: func(s *System) uint64 {
+				cycles = s.Run(200000)
+				return cycles
+			}}.run(t)
+		snap := reg.Snapshot()
+		if got := snap.Get("multi.sched.cycles"); got != float64(cycles) {
+			t.Fatalf("workers=%d: multi.sched.cycles = %v, Run stepped %d", workers, got, cycles)
+		}
+		helpers := float64(workers - 1)
+		want := helpers*float64(cycles) + helpers*float64(cycles+1)
+		got := snap.Get("multi.sched.spins") + snap.Get("multi.sched.yields") + snap.Get("multi.sched.parks")
+		if got != want {
+			t.Errorf("workers=%d: spins+yields+parks = %v, want %v waits", workers, got, want)
+		}
+	}
+}

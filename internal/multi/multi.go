@@ -16,8 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"repro/internal/jit"
 	"repro/internal/kernel"
@@ -145,8 +143,8 @@ type System struct {
 	stats Stats
 
 	// OnCycle, when non-nil, runs after each cycle's barrier delivery
-	// with the completed-cycle count. It executes on the coordinating
-	// goroutine between barriers, so it may safely inspect or mutate
+	// with the completed-cycle count. It executes on the goroutine that
+	// called Run, between cycles, so it may safely inspect or mutate
 	// any node (the fault-injection campaigns checkpoint and kill nodes
 	// from here).
 	OnCycle func(cycle uint64)
@@ -169,6 +167,13 @@ type System struct {
 	dead       []bool   // killed nodes: never step, never service
 	stallUntil []uint64 // frozen until this cycle count (transient stall)
 	hung       bool     // the watchdog tripped
+
+	// Scheduler state (sched.go): the per-worker node blocks and their
+	// step-phase reports, whether those reports are current, and the
+	// parallel gate's counters.
+	slots     []slot
+	reportsOK bool
+	sched     schedStats
 
 	lastProgress      uint64 // instret+faults sum at the last progress check
 	lastProgressCycle uint64
@@ -205,7 +210,7 @@ type System struct {
 }
 
 // spanState is the deterministic span-id allocator. IDs are handed out
-// only on the coordinating goroutine — Node.ReadWord/WriteWord run
+// only on the goroutine that called Run — Node.ReadWord/WriteWord run
 // inside ServiceRemote at the cycle barrier, in node-id order — so the
 // id sequence, and with it the whole trace, is identical under the
 // serial and parallel schedulers.
@@ -297,51 +302,6 @@ func (s *System) Store() *persist.Store { return s.store }
 
 // Stats returns a copy of the cross-node counters.
 func (s *System) Stats() Stats { return s.stats }
-
-// Step advances every live node one cycle in lockstep, then delivers
-// the cycle's remote traffic at the barrier.
-func (s *System) Step() {
-	for i, n := range s.Nodes {
-		if s.skip(i) {
-			continue
-		}
-		n.K.M.Step()
-	}
-	s.deliver()
-}
-
-// skip reports whether node i sits out this cycle: killed, or frozen by
-// a transient stall.
-func (s *System) skip(i int) bool {
-	return s.dead[i] || s.stallUntil[i] > s.cycle
-}
-
-// deliver completes every remote access issued this cycle, visiting
-// nodes in id order. During the step phase nodes touch only their own
-// state (remote references are parked, not performed), so all
-// cross-node effects — mesh link reservations, home-cache contention,
-// traffic counters — happen here, in one deterministic order, no
-// matter how the step phase was scheduled. It then retires the cycle:
-// the watchdog progress check and the OnCycle hook both run here, on
-// the coordinating goroutine.
-func (s *System) deliver() {
-	for i, n := range s.Nodes {
-		if s.dead[i] {
-			continue
-		}
-		n.K.M.ServiceRemote()
-	}
-	s.cycle++
-	if s.cfg.CheckpointEvery != 0 && s.cycle%s.cfg.CheckpointEvery == 0 {
-		s.checkpointAll()
-	}
-	if s.cfg.WatchdogCycles > 0 && s.cycle&63 == 0 {
-		s.checkProgress()
-	}
-	if s.OnCycle != nil {
-		s.OnCycle(s.cycle)
-	}
-}
 
 // checkProgress trips the watchdog if WatchdogCycles have elapsed since
 // any node last retired an instruction or took a fault. (Faults count
@@ -575,6 +535,7 @@ func (s *System) installKernel(id int, k *kernel.Kernel) {
 	}
 	s.dead[id] = false
 	s.stallUntil[id] = 0
+	s.reportsOK = false
 	// Re-apply the introspection wiring the checkpoint image does not
 	// capture: histograms (fresh, the old samples described a machine
 	// that no longer exists), the flight ring (the same one — its tail
@@ -604,7 +565,7 @@ func (s *System) MigrateReport() *migrate.Report { return s.migrateReport }
 func (s *System) MigrateMetrics() *migrate.Metrics { return s.migrateMetrics }
 
 // maybeMigrate fires the armed migration once the cycle threshold is
-// reached, between Step calls on the coordinating goroutine. It
+// reached, between cycles on the goroutine that called Run. It
 // returns how many cycles the migration stepped the system (counted
 // against Run's budget).
 func (s *System) maybeMigrate() uint64 {
@@ -628,7 +589,7 @@ func (s *System) maybeMigrate() uint64 {
 // the source only ever executed the exact Step schedule it would have
 // executed anyway.
 //
-// Must be called between cycle barriers on the coordinating goroutine
+// Must be called between cycle barriers on the goroutine that runs Run
 // (the run loops call it via maybeMigrate; tests may call it directly
 // when the system is not running).
 func (s *System) MigrateNode(id int, mcfg migrate.Config) (*migrate.Report, error) {
@@ -820,6 +781,10 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Counter("multi.remote_reads", func() uint64 { return s.stats.RemoteReads })
 	reg.Counter("multi.remote_writes", func() uint64 { return s.stats.RemoteWrites })
 	reg.Counter("multi.cycle", func() uint64 { return s.cycle })
+	reg.Counter("multi.sched.cycles", func() uint64 { return s.sched.Cycles })
+	reg.Counter("multi.sched.spins", func() uint64 { return s.sched.Spins })
+	reg.Counter("multi.sched.yields", func() uint64 { return s.sched.Yields })
+	reg.Counter("multi.sched.parks", func() uint64 { return s.sched.Parks })
 	reg.Counter("recovery.checkpoints", func() uint64 { return s.checkpoints })
 	reg.Counter("recovery.restores", func() uint64 { return s.restores })
 	if s.store != nil {
@@ -913,140 +878,6 @@ func (s *System) Revive(id int, k *kernel.Kernel) error {
 	s.hung = false
 	s.lastProgressCycle = s.cycle
 	return nil
-}
-
-// Run steps until every node's threads are done or maxCycles elapse,
-// returning cycles executed. Nodes are stepped by a pool of persistent
-// workers meeting at a per-cycle barrier; Config.Serial selects the
-// single-goroutine scheduler instead. Both produce bit-identical
-// machines.
-func (s *System) Run(maxCycles uint64) uint64 {
-	if !s.cfg.Serial && s.workerCount() > 1 {
-		return s.runParallel(maxCycles)
-	}
-	return s.runSerial(maxCycles)
-}
-
-func (s *System) runSerial(maxCycles uint64) uint64 {
-	var c uint64
-	for c < maxCycles && !s.Done() && !s.hung {
-		s.Step()
-		c++
-		// The armed migration steps the system itself (pre-copy overlaps
-		// execution); those cycles count against this Run's budget.
-		c += s.maybeMigrate()
-	}
-	return c
-}
-
-// workerCount resolves Config.Workers: bounded by the node count, and
-// by GOMAXPROCS when unset.
-func (s *System) workerCount() int {
-	w := s.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(s.Nodes) {
-		w = len(s.Nodes)
-	}
-	return w
-}
-
-// runParallel is Run on nw persistent workers. Each cycle has two
-// phases separated by barriers: workers step a static partition of the
-// nodes (node state is disjoint; remote accesses only enqueue on the
-// issuing node), then the coordinator alone runs deliver() and the
-// termination check. The stop flag is written by the coordinator
-// between barriers and read by workers after one, so the barrier's lock
-// ordering publishes it.
-func (s *System) runParallel(maxCycles uint64) uint64 {
-	nw := s.workerCount()
-	b := newBarrier(nw + 1)
-	stop := false
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				b.await() // cycle start: coordinator has set stop
-				if stop {
-					return
-				}
-				for i := w; i < len(s.Nodes); i += nw {
-					// skip() reads dead/stallUntil/cycle, all written
-					// only between barriers (coordinator or pre-Run
-					// caller), so the barrier publishes them.
-					if s.skip(i) {
-						continue
-					}
-					s.Nodes[i].K.M.Step()
-				}
-				b.await() // cycle end: all nodes stepped
-			}
-		}(w)
-	}
-	var c uint64
-	for {
-		if c >= maxCycles || s.Done() || s.hung {
-			stop = true
-			b.await() // release workers to observe stop
-			break
-		}
-		b.await() // start the cycle
-		b.await() // wait for every node's step
-		s.deliver()
-		c++
-		// Workers are parked at the cycle-start barrier, so the armed
-		// migration may step the system serially from here — bit-identical
-		// to the parallel schedule by the package invariant.
-		c += s.maybeMigrate()
-	}
-	wg.Wait()
-	return c
-}
-
-// barrier is a reusable sense-reversing barrier for n participants.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	arrived int
-	phase   uint64
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// await blocks until all n participants have arrived, then releases
-// them together.
-func (b *barrier) await() {
-	b.mu.Lock()
-	p := b.phase
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.phase++
-		b.cond.Broadcast()
-	} else {
-		for b.phase == p {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
-}
-
-// Done reports whether all threads on all nodes have finished.
-func (s *System) Done() bool {
-	for _, n := range s.Nodes {
-		if !n.K.M.Done() {
-			return false
-		}
-	}
-	return true
 }
 
 // --- Node as the machine's RemoteAccess --------------------------------

@@ -139,8 +139,11 @@ type link struct {
 
 // Network is a dimension-order-routed 3D mesh.
 type Network struct {
-	cfg   Config
-	busy  map[link]uint64 // next free cycle per directed link
+	cfg Config
+	// busy is the next free cycle per directed link, densely indexed by
+	// linkIndex: six outgoing links (±X, ±Y, ±Z) per router. A mesh-edge
+	// router never uses the slots that would leave the mesh.
+	busy  []uint64
 	stats Stats
 
 	// Tracer, when non-nil, receives one cycle-stamped event per
@@ -183,7 +186,18 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("noc: mesh %dx%dx%d exceeds %d addressable nodes",
 			cfg.DimX, cfg.DimY, cfg.DimZ, MaxTransportNode+1)
 	}
-	return &Network{cfg: cfg, busy: make(map[link]uint64), transport: cfg.Transport.withDefaults()}, nil
+	nodes := cfg.DimX * cfg.DimY * cfg.DimZ
+	return &Network{cfg: cfg, busy: make([]uint64, 6*nodes), transport: cfg.Transport.withDefaults()}, nil
+}
+
+// linkIndex is the busy-table slot of the link leaving router id along
+// dim (0=X 1=Y 2=Z) in the positive (pos) or negative direction.
+func linkIndex(id, dim int, pos bool) int {
+	i := 6*id + 2*dim
+	if pos {
+		i++
+	}
+	return i
 }
 
 // Nodes returns the node count.
@@ -238,10 +252,10 @@ func (n *Network) path(src, dst int) []link {
 	return links
 }
 
-// reserve claims the directed link l no earlier than the message's
-// arrival t at its source router, accounting link contention, and
-// returns the departure time from the router.
-func (n *Network) reserve(l link, t uint64) uint64 {
+// reserve claims the directed link in busy-table slot l no earlier than
+// the message's arrival t at its source router, accounting link
+// contention, and returns the departure time from the router.
+func (n *Network) reserve(l int, t uint64) uint64 {
 	n.stats.TotalHops++
 	if b := n.busy[l]; b > t {
 		n.stats.ContentionCycles += b - t
@@ -268,33 +282,10 @@ func (n *Network) Send(src, dst int, now uint64) (uint64, error) {
 		return t, nil
 	}
 	cur, goal := n.CoordOf(src), n.CoordOf(dst)
-	for cur.X != goal.X {
-		pos := goal.X > cur.X
-		t = n.reserve(link{from: cur, dim: 0, pos: pos}, t)
-		if pos {
-			cur.X++
-		} else {
-			cur.X--
-		}
-	}
-	for cur.Y != goal.Y {
-		pos := goal.Y > cur.Y
-		t = n.reserve(link{from: cur, dim: 1, pos: pos}, t)
-		if pos {
-			cur.Y++
-		} else {
-			cur.Y--
-		}
-	}
-	for cur.Z != goal.Z {
-		pos := goal.Z > cur.Z
-		t = n.reserve(link{from: cur, dim: 2, pos: pos}, t)
-		if pos {
-			cur.Z++
-		} else {
-			cur.Z--
-		}
-	}
+	r := src // the router the message is at
+	r, t = n.route(r, 0, cur.X, goal.X, 1, t)
+	r, t = n.route(r, 1, cur.Y, goal.Y, n.cfg.DimX, t)
+	_, t = n.route(r, 2, cur.Z, goal.Z, n.cfg.DimX*n.cfg.DimY, t)
 	t += n.cfg.InjectLatency
 	n.stats.TotalLatency += t - now
 	if n.Tracer != nil && n.Tracer.Enabled(telemetry.EvNoCMsg) {
@@ -303,6 +294,22 @@ func (n *Network) Send(src, dst int, now uint64) (uint64, error) {
 			Detail: fmt.Sprintf("node %d -> %d (arrive %d)", src, dst, t)})
 	}
 	return t, nil
+}
+
+// route walks one dimension of a dimension-order route, from coordinate
+// from to coordinate to, starting at router r; one step along dim moves
+// stride router ids. It reserves each link on the way and returns the
+// router reached and the departure time from it.
+func (n *Network) route(r, dim, from, to, stride int, t uint64) (int, uint64) {
+	for ; from < to; from++ {
+		t = n.reserve(linkIndex(r, dim, true), t)
+		r += stride
+	}
+	for ; from > to; from-- {
+		t = n.reserve(linkIndex(r, dim, false), t)
+		r -= stride
+	}
+	return r, t
 }
 
 // rangeErr is the cold-path constructor for ErrNodeRange wrapping.
