@@ -53,13 +53,14 @@ race:
 
 # Compiled-tier differential gate (docs/PERFORMANCE.md): the E27
 # interp-vs-translator census, the root determinism corpus, the SMC and
-# stats invariants in internal/machine, scheduler invariance on the
+# stats invariants and the idle-skip Step-loop oracle in
+# internal/machine, scheduler invariance on the
 # mesh, the verifier's per-site table contract, and the mmsim CLI
 # byte-identity / -verify refusal tests.
 jit:
 	$(GO) run ./cmd/experiments -run E27
 	$(GO) test -run 'TestJITDifferentialCorpus' .
-	$(GO) test -run 'TestJIT' ./internal/machine/ ./internal/multi/ ./cmd/mmsim/
+	$(GO) test -run 'TestJIT|TestIdleSkipMatchesStepLoop' ./internal/machine/ ./internal/multi/ ./cmd/mmsim/
 	$(GO) test -run 'TestSite' ./internal/capverify/
 
 # Capability-flow gate: the E30 flow-vs-register-only differential with

@@ -600,13 +600,12 @@ sweep:
 	br   sweep
 `
 
-func benchCycleLoop(b *testing.B, src string, segBytes uint64, useJIT bool) {
+// benchSpawn boots a kernel on cfg with src loaded as one thread, r1
+// holding a fresh segBytes segment when segBytes is non-zero, and the
+// program registered with the translator when useJIT.
+func benchSpawn(b *testing.B, cfg machine.Config, src string, segBytes uint64, useJIT bool) (*kernel.Kernel, *machine.Thread) {
 	b.Helper()
 	prog := mustAssemble(src)
-	cfg := machine.MMachine()
-	cfg.Clusters = 1
-	cfg.SlotsPerCluster = 1
-	cfg.PhysBytes = 4 << 20
 	k, err := kernel.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -633,6 +632,16 @@ func benchCycleLoop(b *testing.B, src string, segBytes uint64, useJIT bool) {
 	if useJIT {
 		k.M.JITRegister(prog, ip.Addr(), capverify.Config{DataBytes: segBytes})
 	}
+	return k, th
+}
+
+func benchCycleLoop(b *testing.B, src string, segBytes uint64, useJIT bool) {
+	b.Helper()
+	cfg := machine.MMachine()
+	cfg.Clusters = 1
+	cfg.SlotsPerCluster = 1
+	cfg.PhysBytes = 4 << 20
+	k, th := benchSpawn(b, cfg, src, segBytes, useJIT)
 	k.Run(4096) // warm the demand pager, TLB, caches and block heat
 	if th.State == machine.Faulted {
 		b.Fatalf("workload faulted: %v", th.Fault)
@@ -668,6 +677,54 @@ func BenchmarkMachine_CycleLoop(b *testing.B) {
 func BenchmarkMachine_CycleLoopJIT(b *testing.B) {
 	b.Run("fib", func(b *testing.B) { benchCycleLoop(b, hotpathFib, 0, true) })
 	b.Run("sweep", func(b *testing.B) { benchCycleLoop(b, hotpathSweep, 4096, true) })
+}
+
+// hotpathStride walks a 256KB segment, twice the cache, at a 64-byte
+// stride, forever: every load misses, so the lone thread spends most
+// cycles blocked and every cluster sits idle.
+const hotpathStride = `
+restart:
+	mov  r5, r1
+	ldi  r2, 4000
+stride:
+	ld   r6, r5, 0
+	st   r5, 8, r6
+	leai r5, r5, 64
+	subi r2, r2, 1
+	bnez r2, stride
+	br   restart
+`
+
+// BenchmarkMachine_RunMemoryBound drives k.M.Run, not Step, on the
+// 4-cluster chip with one thread sweeping a cache-missing stride: the
+// layer it measures is Run's idle-cycle skipping, which the Step-driven
+// CycleLoop benchmarks cannot see. One op is runChunk cycles.
+func BenchmarkMachine_RunMemoryBound(b *testing.B) {
+	b.Run("interp", func(b *testing.B) { benchRunMemoryBound(b, false) })
+	b.Run("jit", func(b *testing.B) { benchRunMemoryBound(b, true) })
+}
+
+func benchRunMemoryBound(b *testing.B, useJIT bool) {
+	const runChunk = 4096
+	k, th := benchSpawn(b, machine.MMachine(), hotpathStride, 256<<10, useJIT)
+	k.M.Run(1 << 20) // a full sweep warms the pager, TLB and block heat
+	if th.Done() {
+		b.Fatalf("workload stopped: %v %v", th.State, th.Fault)
+	}
+	before := k.M.Stats().Instructions
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.M.Run(runChunk)
+	}
+	b.StopTimer()
+	instr := k.M.Stats().Instructions - before
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(instr)/sec, "sim-instr/s")
+	}
+	if useJIT && k.M.JIT().Counters.Entries == 0 {
+		b.Fatalf("translator never engaged: %+v", k.M.JIT().Counters)
+	}
 }
 
 // hotpathNode mixes local compute with a remote load every 16th

@@ -83,7 +83,7 @@ func (m *Machine) jitStep(t *Thread) bool {
 		idx = 0
 		m.jit.Counters.Entries++
 	}
-	if len(m.threads) == 1 && m.Remote == nil && m.scrubEvery == 0 {
+	if len(m.threads) == 1 && m.Remote == nil && m.scrubEvery == 0 && !m.cfg.WideIssue {
 		m.runBlockWhole(t, blk, idx)
 	} else {
 		m.runBlockPaced(t, blk, idx)
@@ -94,7 +94,9 @@ func (m *Machine) jitStep(t *Thread) bool {
 // runBlockPaced executes exactly one compiled step per machine cycle,
 // leaving all per-cycle accounting to the ordinary Step loop. This is
 // the mode for configurations where other agents act between cycles —
-// sibling threads, deferred remote traffic, the background scrubber.
+// sibling threads, deferred remote traffic, the background scrubber —
+// and under WideIssue, where executeWide packs steps into issue
+// packets and one step is not one cycle.
 func (m *Machine) runBlockPaced(t *Thread, blk *jit.Block, idx int) {
 	next, in := m.execStep(t, blk, idx)
 	if in && blk.Valid && next < len(blk.Steps) {
@@ -107,40 +109,60 @@ func (m *Machine) runBlockPaced(t *Thread, blk *jit.Block, idx int) {
 // block head — applying the cycle accounting the interpreter would
 // have accumulated per instruction in one batch: each extra step is
 // one more cycle, one more issue packet on this cluster, and one idle
-// cycle on each of the others. Exit leaves a resume cursor when the
-// block can continue (memory blocking, chain budget).
+// cycle on each of the others. A step that blocks the thread does not
+// end the block when wakeInBlock can skip the clock to the wake-up.
+// Exit leaves a resume cursor when the block can continue (memory
+// blocking, chain budget, Run cap).
 func (m *Machine) runBlockWhole(t *Thread, blk *jit.Block, idx int) {
 	budget := m.jit.ChainBudget()
 	issued := 1
 	for {
 		next, in := m.execStep(t, blk, idx)
-		if !in {
-			return
-		}
-		if t.State != Ready || !blk.Valid || next >= len(blk.Steps) {
-			if blk.Valid && next < len(blk.Steps) {
-				t.jblk, t.jidx = blk, next
-			}
+		if !in || !blk.Valid || next >= len(blk.Steps) {
 			return
 		}
 		if issued >= budget {
 			t.jblk, t.jidx = blk, next
 			return
 		}
-		// The next step would execute at cycle m.cycle+1; a Run cap
-		// means the interpreter would have stopped before it.
-		if m.runLimit != 0 && m.cycle+1 >= m.runLimit {
+		if t.State == Ready {
+			// The next step would execute at cycle m.cycle+1; a Run
+			// cap means the interpreter would have stopped before it.
+			if m.runLimit != 0 && m.cycle+1 >= m.runLimit {
+				t.jblk, t.jidx = blk, next
+				return
+			}
+			m.cycle++
+			m.stats.Cycles++
+		} else if !m.wakeInBlock(t) {
 			t.jblk, t.jidx = blk, next
 			return
 		}
-		m.cycle++
 		m.now = m.cycle
-		m.stats.Cycles++
 		m.stats.IssuePackets++
 		m.stats.IdleCycles += uint64(m.cfg.Clusters - 1)
 		issued++
 		idx = next
 	}
+}
+
+// wakeInBlock ends the current cycle and skips the clock to the blocked
+// lone thread's wake-up, so its block continues there: the cycles in
+// between are ones in which no cluster issues (skipIdle). It does this
+// only inside Run, whose loop would skip to the same cycle, before the
+// Run cap, and when no stall ends first; otherwise it changes nothing
+// and returns false, and external steppers keep seeing the thread
+// blocked.
+func (m *Machine) wakeInBlock(t *Thread) bool {
+	at := max(m.cycle+1, t.blockedUntil)
+	if m.runLimit == 0 || at >= m.runLimit || m.idleHorizon(m.cycle+1, at) != at {
+		return false
+	}
+	m.cycle++
+	m.stats.Cycles++
+	m.skipIdle(at - m.cycle)
+	t.State = Ready
+	return true
 }
 
 // execStep runs blk.Steps[idx] for t at cycle m.now, exactly as the

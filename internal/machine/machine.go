@@ -250,6 +250,11 @@ type Machine struct {
 	// cycles with the translator on or off.
 	runLimit uint64
 
+	// skipped counts the cycles the clock jumped over instead of
+	// stepping (skipIdle). Observability only: it is not part of Stats,
+	// so fingerprints and signatures do not see it.
+	skipped uint64
+
 	OnTrap  TrapHandler
 	OnFault FaultHandler
 
@@ -411,6 +416,7 @@ func (m *Machine) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Counter("machine.traps", func() uint64 { return m.stats.Traps })
 	reg.Counter("machine.faults", func() uint64 { return m.stats.Faults })
 	reg.Counter("machine.issue_packets", func() uint64 { return m.stats.IssuePackets })
+	reg.Counter("machine.skipped_cycles", func() uint64 { return m.skipped })
 	reg.Register("machine.ipc", func() float64 {
 		if m.stats.Cycles == 0 {
 			return 0
@@ -528,38 +534,86 @@ func (m *Machine) Step() {
 }
 
 // Run steps until every thread is done or maxCycles elapse; it returns
-// the number of cycles executed. The background memory scrubber (if
-// configured) ticks here rather than in Step so the common
-// scrubber-off path adds nothing to the per-cycle hot loop; external
-// steppers that drive Step directly (the multicomputer barrier loop)
-// bring their own recovery machinery instead.
+// the number of cycles executed. After a cycle in which no cluster
+// issued, the clock jumps to the next cycle at which one could (see
+// idleHorizon), with the accounting per-cycle stepping would produce.
+// The background memory scrubber (if configured) ticks here rather than
+// in Step so the common scrubber-off path adds nothing to the per-cycle
+// hot loop; external steppers that drive Step directly (the
+// multicomputer barrier loop) bring their own recovery machinery
+// instead.
 func (m *Machine) Run(maxCycles uint64) uint64 {
-	if m.scrubEvery != 0 {
-		return m.runScrubbed(maxCycles)
-	}
 	start := m.cycle
-	if limit := start + maxCycles; limit > start {
-		m.runLimit = limit
-		defer func() { m.runLimit = 0 }()
+	end := start + maxCycles
+	if end < start {
+		end = ^uint64(0)
 	}
-	for !m.Done() && m.cycle-start < maxCycles {
+	m.runLimit = end
+	defer func() { m.runLimit = 0 }()
+	for !m.Done() && m.cycle < end {
+		issued := m.stats.IssuePackets
 		m.Step()
-	}
-	return m.cycle - start
-}
-
-// runScrubbed is Run with the background scrubber armed: every
-// scrubEvery cycles, sweep the next scrubWords words of physical
-// memory, correcting single-bit decay before anything consumes it.
-func (m *Machine) runScrubbed(maxCycles uint64) uint64 {
-	start := m.cycle
-	for !m.Done() && m.cycle-start < maxCycles {
-		m.Step()
-		if m.cycle%m.scrubEvery == 0 {
+		if m.stats.IssuePackets == issued {
+			limit := end
+			if m.scrubEvery != 0 {
+				// Never jump past a scrub tick: it fires at the same
+				// cycles as under per-cycle stepping.
+				limit = min(limit, (m.cycle+m.scrubEvery-1)/m.scrubEvery*m.scrubEvery)
+			}
+			m.skipIdle(m.idleHorizon(m.cycle, limit) - m.cycle)
+		}
+		if m.scrubEvery != 0 && m.cycle%m.scrubEvery == 0 {
 			m.Space.Phys.ScrubStep(m.scrubWords)
 		}
 	}
 	return m.cycle - start
+}
+
+// idleHorizon returns the first cycle at or after from at which some
+// cluster could issue, capped at limit (limit >= from): from itself
+// when a thread on an unstalled cluster is ready (or due to wake),
+// otherwise the earliest stall end or thread wake-up. Threads on a
+// stalled cluster cannot issue before its stall ends, so only the stall
+// bounds them. Every cycle before the horizon is one in which
+// stepCluster would charge each cluster a stall or an idle cycle and
+// change nothing else: pickThread wakes blocked threads lazily, so no
+// thread state or round-robin pointer moves.
+func (m *Machine) idleHorizon(from, limit uint64) uint64 {
+	next := limit
+	for _, cl := range m.clusters {
+		if cl.stallUntil > from {
+			next = min(next, cl.stallUntil)
+			continue
+		}
+		for _, t := range cl.slots {
+			if t == nil || t.Done() {
+				continue
+			}
+			if t.State != Blocked || t.blockedUntil <= from {
+				return from
+			}
+			next = min(next, t.blockedUntil)
+		}
+	}
+	return next
+}
+
+// skipIdle advances the clock k cycles, starting at m.cycle, in which no
+// cluster issues: each cluster is charged a stall cycle while its stall
+// lasts and an idle cycle otherwise. Callers bound k by idleHorizon, so
+// no stall ends inside the span. Both idle-skipping sites (Run and
+// whole-block execution) account through here.
+func (m *Machine) skipIdle(k uint64) {
+	for _, cl := range m.clusters {
+		if cl.stallUntil > m.cycle {
+			m.stats.StallCycles += k
+		} else {
+			m.stats.IdleCycles += k
+		}
+	}
+	m.cycle += k
+	m.stats.Cycles += k
+	m.skipped += k
 }
 
 func (m *Machine) stepCluster(cl *clusterState) {
